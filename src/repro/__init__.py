@@ -36,10 +36,8 @@ Quickstart::
 from repro.buffer import (
     ClockBufferPool,
     FIFOBufferPool,
-    FenwickTree,
     FetchCurve,
     LRUBufferPool,
-    StackDistanceAnalyzer,
     simulate_fetches,
 )
 from repro.catalog import CatalogStore, IndexStatistics, SystemCatalog
@@ -169,7 +167,6 @@ __all__ = [
     "FaultInjectionError",
     "FaultInjector",
     "FaultRule",
-    "FenwickTree",
     "FetchCurve",
     "GWLDatabase",
     "HashSamplePredicate",
@@ -203,7 +200,6 @@ __all__ = [
     "ServingConfig",
     "ServingError",
     "ServingTCPServer",
-    "StackDistanceAnalyzer",
     "SmoothEPFISEstimator",
     "SyntheticSpec",
     "SystemCatalog",

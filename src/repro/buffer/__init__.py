@@ -5,8 +5,9 @@ This subpackage provides the machinery behind the paper's Subprogram LRU-Fit
 
 * :class:`~repro.buffer.lru.LRUBufferPool` — an exact least-recently-used
   buffer-pool simulator that counts page fetches for one buffer size.
-* :class:`~repro.buffer.stack.StackDistanceAnalyzer` — the Mattson et al.
-  (1970) stack-property trick the paper cites: one pass over a page-reference
+* :func:`~repro.buffer.kernels.baseline.stack_distances` and
+  :class:`~repro.buffer.stack.FetchCurve` — the Mattson et al. (1970)
+  stack-property trick the paper cites: one pass over a page-reference
   trace yields the fetch count for *every* buffer size simultaneously.
 * :class:`~repro.buffer.fifo.FIFOBufferPool`,
   :class:`~repro.buffer.clock.ClockBufferPool`,
@@ -16,12 +17,11 @@ This subpackage provides the machinery behind the paper's Subprogram LRU-Fit
   the paper models; these quantify how policy-sensitive the FPF curve
   is via the simulated-policy kernels and the drift ablation).
 * :mod:`repro.buffer.kernels` — pluggable implementations of the stack
-  pass (exact Fenwick baseline, exact compact big-integer kernel, SHARDS
-  sampling, optional numpy vectorization) behind one registry.
+  pass (the exact Fenwick baseline, SHARDS sampling, optional exact numpy
+  vectorization) behind one registry.
 """
 
 from repro.buffer.clock import ClockBufferPool
-from repro.buffer.fenwick import FenwickTree
 from repro.buffer.fifo import FIFOBufferPool
 from repro.buffer.kernels import (
     FetchCurveProvider,
@@ -33,25 +33,24 @@ from repro.buffer.kernels import (
     get_kernel,
     register_kernel,
 )
+from repro.buffer.kernels.baseline import stack_distances
 from repro.buffer.lecar import LeCaRBufferPool
 from repro.buffer.lru import LRUBufferPool
 from repro.buffer.policies import available_policies, get_policy_pool
 from repro.buffer.pool import BufferPool, simulate_fetches
-from repro.buffer.stack import FetchCurve, StackDistanceAnalyzer, stack_distances
+from repro.buffer.stack import FetchCurve
 from repro.buffer.twoq import TwoQBufferPool
 
 __all__ = [
     "BufferPool",
     "ClockBufferPool",
     "FIFOBufferPool",
-    "FenwickTree",
     "FetchCurve",
     "FetchCurveProvider",
     "KernelStream",
     "LRUBufferPool",
     "LeCaRBufferPool",
     "SimulatedPolicyKernel",
-    "StackDistanceAnalyzer",
     "StackDistanceKernel",
     "TwoQBufferPool",
     "available_kernels",

@@ -15,8 +15,9 @@ points:
   references without materializing the whole trace in memory.
 
 Exact kernels (``exact = True``) are required to produce results
-*bit-identical* to :func:`repro.buffer.stack.stack_distances` — the same
-:class:`~repro.buffer.stack.FetchCurve` dataclass, equal field-for-field.
+*bit-identical* to :func:`repro.buffer.kernels.baseline.stack_distances` —
+the same :class:`~repro.buffer.stack.FetchCurve` dataclass, equal
+field-for-field.
 Approximate kernels return a curve-compatible estimate and document their
 error bound (see :mod:`repro.buffer.kernels.sampled`).
 """

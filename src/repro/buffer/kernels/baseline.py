@@ -1,17 +1,20 @@
-"""The reference kernel: the original Fenwick-over-positions pass.
+"""The reference kernel: the library's one Fenwick-over-positions pass.
 
-This is the exact algorithm of :func:`repro.buffer.stack.stack_distances`
-(O(M log M) for M references) exposed behind the kernel interface, plus a
-streaming variant whose Fenwick tree grows geometrically so references can
-be fed in chunks without knowing the trace length up front.  Every other
-exact kernel is validated against this one.
+The depth of a reuse is 1 + the number of *distinct* pages referenced
+strictly between the two accesses.  Counting distinct pages in a window is
+done with a Fenwick tree over "most recent occurrence" flags, giving
+O(M log M) for a trace of M references.  :func:`stack_distances` runs the
+pass once over a sized trace with the tree pre-sized to its length; the
+streaming variant grows the tree geometrically so references can be fed in
+chunks without knowing the trace length up front.  Both share the one loop
+in :meth:`_BaselineStream._consume`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.buffer.kernels.base import (
     KernelStream,
@@ -19,15 +22,15 @@ from repro.buffer.kernels.base import (
     _record_kernel_pass,
 )
 from repro.buffer.kernels.mergeable import ExactShardSummary
-from repro.buffer.stack import FetchCurve, stack_distances
+from repro.buffer.stack import FetchCurve
 from repro.obs.metrics import global_registry
 
 
 class _BaselineStream(KernelStream):
     """Chunk-fed Fenwick pass over trace positions."""
 
-    def __init__(self) -> None:
-        self._capacity = 1024
+    def __init__(self, capacity: int = 1024) -> None:
+        self._capacity = capacity
         self._tree: List[int] = [0] * (self._capacity + 1)
         self._last_seen: Dict[int, int] = {}
         self._distances: List[int] = []
@@ -59,8 +62,9 @@ class _BaselineStream(KernelStream):
         chunk = pages if isinstance(pages, (list, tuple)) else list(pages)
         if self._position + len(chunk) > self._capacity:
             self._grow(self._position + len(chunk))
-        # Same inner loop as stack_distances(), offset by the running
-        # position; locals are bound once per chunk for speed.
+        # Slot t of the tree holds 1 iff trace position t is currently
+        # the most recent occurrence of its page.  Locals are bound once
+        # per chunk: this is the hottest loop in the library.
         tree = self._tree
         n = self._capacity
         last_seen = self._last_seen
@@ -73,6 +77,8 @@ class _BaselineStream(KernelStream):
             if prev is None:
                 cold += 1
             else:
+                # Distinct pages strictly between prev and t: the flags in
+                # positions (prev, t), as two prefix sums.
                 i = t
                 hi = 0
                 while i > 0:
@@ -84,6 +90,7 @@ class _BaselineStream(KernelStream):
                     lo += tree[i]
                     i -= i & -i
                 append(hi - lo + 1)
+                # prev is no longer the most recent occurrence of page.
                 i = prev + 1
                 while i <= n:
                     tree[i] -= 1
@@ -119,6 +126,20 @@ class _BaselineStream(KernelStream):
         )
 
 
+def stack_distances(trace: Sequence[int]) -> Tuple[List[int], int]:
+    """Return ``(distances, cold_misses)`` for a page-reference trace.
+
+    ``distances`` holds, for every *reuse* (a reference to a page seen
+    before), its LRU stack depth: ``1`` means the page was the most
+    recently used, so it hits even in a single-slot pool.  First
+    references are compulsory (cold) misses in every pool and are
+    returned as a count.
+    """
+    stream = _BaselineStream(max(len(trace), 1))
+    stream._consume(trace)
+    return stream._distances, stream._cold
+
+
 class BaselineKernel(StackDistanceKernel):
     """Exact Fenwick-tree kernel — the library's original hot loop."""
 
@@ -130,7 +151,7 @@ class BaselineKernel(StackDistanceKernel):
         return _BaselineStream()
 
     def analyze(self, trace: Iterable[int]) -> FetchCurve:
-        """One-shot pass; sized sequences skip the growable indirection."""
+        """One-shot pass; sized traces pre-size the tree (no growth)."""
         if hasattr(trace, "__len__"):
             if not global_registry().enabled:
                 distances, cold = stack_distances(trace)

@@ -16,8 +16,8 @@ Each exact-kernel stream therefore reduces its shard to an
   shard reorders the global LRU stack for its successors).
 
 :func:`merge_exact_summaries` folds summaries left-to-right over a
-global recency structure — the same big-integer slot/mask technique as
-the ``compact`` kernel — replaying each shard's ``first_seen`` sequence
+global recency structure — a big-integer slot/mask (one occupancy bit
+per live page's recency slot) — replaying each shard's ``first_seen`` sequence
 to resolve seam depths, then re-stacking the shard's ``recency`` pages
 on top.  The result is **bit-identical** to a single uninterrupted pass:
 at every first-local-access, the pages above the previous slot are (a)
@@ -102,7 +102,7 @@ def merge_exact_summaries(
     histogram: Dict[int, int] = {}
     # Global recency structure: live page -> slot, one occupancy bit per
     # slot in a big integer, monotone slot assignment with periodic
-    # re-packing (the compact kernel's technique, see compact.py).
+    # re-packing (the technique of sampled._tagged_distances).
     slot_of: Dict[int, int] = {}
     mask = 0
     next_slot = 0

@@ -64,8 +64,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.buffer.kernels.base import KernelStream, StackDistanceKernel
-from repro.buffer.kernels.compact import _MIN_CAPACITY
+from repro.buffer.stack import FetchCurve
 from repro.errors import KernelError, TraceError
+
+#: Initial slot capacity of :func:`_tagged_distances`; re-packing never
+#: shrinks below this.
+_MIN_CAPACITY = 4096
 
 #: Width of the sampling hash; thresholds live in ``[0, 2**24)``.
 HASH_BITS = 24
@@ -106,11 +110,15 @@ def _hash24(page: int, seed: int) -> int:
 def _tagged_distances(
     seq: Iterable[int],
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """Compact stack-distance pass that keeps the page of each reuse.
+    """Exact stack-distance pass that keeps the page of each reuse.
 
-    Same big-integer recency algorithm as the ``compact`` kernel, but each
-    output element is ``(page, depth)`` so depths can be post-stratified by
-    page statistics.  Returns ``(pairs, cold_misses)``.
+    Each live page owns a recency slot and one big integer holds an
+    occupancy bit per slot, so a reuse's depth is the popcount of the
+    slots above its previous one, plus one.  When the slots fill, live
+    pages are re-packed in recency order.  Each output element is
+    ``(page, depth)`` so depths can be post-stratified by page
+    statistics.  Returns ``(pairs, cold_misses)``; the depths are
+    bit-identical to the baseline kernel's.
     """
     slot_of: Dict[int, int] = {}
     pop = slot_of.pop
@@ -423,9 +431,10 @@ class _SampledStream(KernelStream):
         if self._raw is not None:
             # Escape hatch: the universe never outgrew min_pages, so an
             # exact pass is both cheap and exactly right.
-            from repro.buffer.kernels.compact import CompactKernel
-
-            return CompactKernel().analyze(self._raw)
+            tagged, cold = _tagged_distances(self._raw)
+            return FetchCurve.from_distances(
+                (depth for _page, depth in tagged), cold
+            )
 
         state = self._state
         total = self._total

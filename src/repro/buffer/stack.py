@@ -13,11 +13,12 @@ reuse depths in **one pass** over the trace yields the exact fetch count for
 
     F(B) = cold_misses + #{ reuses with depth > B }
 
-The depth of a reuse is computed as 1 + the number of *distinct* pages
-referenced strictly between the two accesses; counting distinct pages in a
-window is done with a Fenwick tree over "most recent occurrence" flags,
-giving O(M log M) for a trace of M references — this is what makes the
-paper's "large index-entry scans" tractable in pure Python.
+This module holds the resulting curve, :class:`FetchCurve`.  The pass
+itself — a Fenwick tree over "most recent occurrence" flags, O(M log M) for
+a trace of M references — is
+:func:`repro.buffer.kernels.baseline.stack_distances`; the other kernels in
+:mod:`repro.buffer.kernels` build the same curve through
+:meth:`FetchCurve.from_distances`.
 """
 
 from __future__ import annotations
@@ -26,63 +27,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import TraceError
-
-
-def stack_distances(trace: Sequence[int]) -> Tuple[List[int], int]:
-    """Return ``(distances, cold_misses)`` for a page-reference trace.
-
-    ``distances`` holds, for every *reuse* (a reference to a page seen
-    before), its LRU stack depth: ``1`` means the page was the most recently
-    used, so it hits even in a single-slot pool.  First references are
-    compulsory (cold) misses in every pool and are returned as a count.
-    """
-    n = len(trace)
-    # Inline Fenwick tree over trace positions; slot t holds 1 iff position
-    # t is currently the most recent occurrence of its page.  Kept inline
-    # (rather than using FenwickTree) because this is the hottest loop in
-    # the library.
-    tree = [0] * (n + 1)
-    last_seen: Dict[int, int] = {}
-    distances: List[int] = []
-    append = distances.append
-    cold = 0
-
-    for t, page in enumerate(trace):
-        prev = last_seen.get(page)
-        if prev is None:
-            cold += 1
-        else:
-            # distinct pages referenced strictly after prev and before t ==
-            # number of "most recent occurrence" flags in positions
-            # (prev, t); flags at or before prev are excluded by two prefix
-            # sums.
-            i = t  # prefix_sum over [0, t-1]
-            hi = 0
-            while i > 0:
-                hi += tree[i]
-                i -= i & -i
-            i = prev + 1  # prefix_sum over [0, prev]
-            lo = 0
-            while i > 0:
-                lo += tree[i]
-                i -= i & -i
-            append(hi - lo + 1)
-            # prev is no longer the most recent occurrence of this page.
-            i = prev + 1
-            while i <= n:
-                tree[i] -= 1
-                i += i & -i
-        # Position t becomes the most recent occurrence of `page`.
-        i = t + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-        last_seen[page] = t
-
-    return distances, cold
 
 
 @dataclass(frozen=True)
@@ -120,6 +67,9 @@ class FetchCurve:
         """Analyze ``trace`` and build its fetch curve."""
         if not len(trace):
             raise TraceError("cannot build a FetchCurve from an empty trace")
+        # Lazy: the kernels package imports this module.
+        from repro.buffer.kernels.baseline import stack_distances
+
         distances, cold = stack_distances(trace)
         return cls.from_distances(distances, cold)
 
@@ -197,27 +147,3 @@ class FetchCurve:
         if needed_hits <= 0:
             return 1
         return self.depths[bisect_left(self.cumulative_reuses, needed_hits)]
-
-
-class StackDistanceAnalyzer:
-    """Object-style facade over :func:`stack_distances` / :class:`FetchCurve`.
-
-    Mirrors how LRU-Fit uses the analysis: feed one full index-order trace,
-    get back a queryable curve plus summary statistics.
-    """
-
-    def analyze(self, trace: Sequence[int]) -> FetchCurve:
-        """Build the :class:`FetchCurve` for ``trace``."""
-        return FetchCurve.from_trace(trace)
-
-    def fetch_table(
-        self, trace: Sequence[int], buffer_sizes: Sequence[int]
-    ) -> List[Tuple[int, int]]:
-        """The paper's FPF table: ``(B_i, F_i)`` pairs for ``trace``."""
-        if not buffer_sizes:
-            raise TraceError("at least one buffer size is required")
-        sizes = list(buffer_sizes)
-        if any(b < 1 for b in sizes):
-            raise TraceError(f"buffer sizes must be >= 1, got {sizes}")
-        curve = self.analyze(trace)
-        return curve.curve(sizes)

@@ -1,9 +1,10 @@
 """The BENCH_shard benchmark: sharded LRU-Fit scaling as JSON.
 
-Times a single-process pass of one kernel (``compact`` by default) over a
-paper-scale trace (see :mod:`repro.trace.paper_scale`), then a sharded
-pass at each requested worker count (``shards == workers``), and writes
-the scaling curve to ``BENCH_shard.json``:
+Times a single-process pass of one kernel (the registry's default,
+``baseline``, unless another is named) over a paper-scale trace (see
+:mod:`repro.trace.paper_scale`), then a sharded pass at each requested
+worker count (``shards == workers``), and writes the scaling curve to
+``BENCH_shard.json``:
 
 * per-worker wall time, per-shard feed times, and merge time;
 * speedup versus the single-process pass, both as measured wall clock
@@ -37,6 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.buffer.kernels import (
+    DEFAULT_KERNEL,
     SAMPLED_BAND_ERROR_BOUND,
     get_kernel,
     run_sharded_pass,
@@ -49,7 +51,6 @@ from repro.trace.paper_scale import (
 )
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
-DEFAULT_KERNEL = "compact"
 
 #: Full-run gate: wall (or critical-path) speedup at 4 workers.
 MIN_SPEEDUP_AT_4_WORKERS = 2.5

@@ -356,29 +356,29 @@ def run_open_loop(
 ) -> LoadgenResult:
     """Submit on a fixed arrival schedule, never waiting for answers.
 
-    Arrival ``i`` is scheduled at ``i / qps`` seconds; when the run
-    falls behind schedule it submits immediately (no coordinated
-    omission: latency is measured from the *submit*, not the intended
-    arrival, and sheds are counted instead of silently skipped).
+    Arrival ``i`` is scheduled at ``start + i / qps``; when the run
+    falls behind schedule it submits immediately.  Latency is measured
+    from the *scheduled* arrival, not the actual submit, so a stall
+    charges its wait to every request queued behind it (no coordinated
+    omission), and sheds are counted instead of silently skipped.
     """
     if qps <= 0:
         raise ServingError(f"qps must be > 0, got {qps}")
     tally = _Tally()
     futures = []
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     for i, request in enumerate(requests):
-        scheduled = start + i / qps
-        delay = scheduled - time.perf_counter()
+        scheduled = start + round(i * 1e9 / qps)
+        delay = scheduled - time.perf_counter_ns()
         if delay > 0:
-            time.sleep(delay)
-        submitted = time.perf_counter_ns()
+            time.sleep(delay / 1e9)
         try:
             future = server.submit(request)
         except ServingError:
             tally.record_rejected()
             continue
         future.add_done_callback(
-            lambda f, t0=submitted: (
+            lambda f, t0=scheduled: (
                 tally.record_error()
                 if f.exception() is not None
                 else tally.record(time.perf_counter_ns() - t0)
@@ -390,7 +390,7 @@ def run_open_loop(
             future.result(timeout=60.0)
         except ReproError:
             pass  # already tallied by the callback
-    wall = time.perf_counter() - start
+    wall = (time.perf_counter_ns() - start) / 1e9
     return LoadgenResult(
         mode="open",
         clients=1,

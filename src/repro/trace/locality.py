@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.buffer.stack import stack_distances
+from repro.buffer.kernels.baseline import stack_distances
 from repro.errors import TraceError
 
 

@@ -2,8 +2,10 @@
 
 Three invariants hold for *every* trace:
 
-* every exact kernel is bit-identical to the baseline Fenwick pass
-  (dataclass equality of the resulting FetchCurve);
+* every exact kernel matches the LRU oracle (a real
+  :class:`~repro.buffer.lru.LRUBufferPool` per buffer size) at every
+  size, and is bit-identical to the baseline pass (dataclass equality of
+  the resulting FetchCurve);
 * the streaming API, under any chunking whatsoever, matches the one-shot
   analysis of the concatenated trace;
 * the sampled kernel's estimate respects the exact structural bounds
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffer.kernels import available_kernels, get_kernel
+from repro.buffer.lru import LRUBufferPool
 from repro.buffer.stack import FetchCurve
 
 EXACT_KERNELS = [n for n in available_kernels() if get_kernel(n).exact]
@@ -31,10 +34,12 @@ chunk_sizes = st.lists(st.integers(min_value=1, max_value=40), min_size=1,
 @given(trace=traces, kernel_name=st.sampled_from(EXACT_KERNELS))
 @settings(max_examples=300)
 def test_exact_kernels_bit_identical_to_baseline(trace, kernel_name):
-    """Exact kernels reproduce FetchCurve.from_trace field-for-field."""
-    assert get_kernel(kernel_name).analyze(trace) == FetchCurve.from_trace(
-        trace
-    )
+    """Exact kernels match the LRU oracle at every buffer size and
+    reproduce FetchCurve.from_trace field-for-field."""
+    curve = get_kernel(kernel_name).analyze(trace)
+    for b in range(1, curve.distinct_pages + 2):
+        assert curve.fetches(b) == LRUBufferPool(b).run(trace)
+    assert curve == FetchCurve.from_trace(trace)
 
 
 @given(trace=traces, sizes=chunk_sizes,

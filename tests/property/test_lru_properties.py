@@ -9,7 +9,6 @@ one-pass simultaneous simulation.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffer.fenwick import FenwickTree
 from repro.buffer.lru import LRUBufferPool
 from repro.buffer.stack import FetchCurve
 
@@ -73,28 +72,3 @@ def test_lru_inclusion_of_resident_sets(trace, small, extra):
         small_pool.access(page)
         large_pool.access(page)
         assert small_pool.resident_pages() <= large_pool.resident_pages()
-
-
-@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=60))
-def test_fenwick_prefix_sums_match_brute_force(values):
-    tree = FenwickTree.from_values(values)
-    for i in range(len(values)):
-        assert tree.prefix_sum(i) == sum(values[: i + 1])
-
-
-@given(
-    values=st.lists(st.integers(-9, 9), min_size=1, max_size=40),
-    updates=st.lists(
-        st.tuples(st.integers(0, 39), st.integers(-5, 5)), max_size=20
-    ),
-)
-def test_fenwick_point_updates(values, updates):
-    tree = FenwickTree.from_values(values)
-    shadow = list(values)
-    for index, delta in updates:
-        index %= len(shadow)
-        tree.add(index, delta)
-        shadow[index] += delta
-    assert tree.total() == sum(shadow)
-    for i in range(len(shadow)):
-        assert tree.prefix_sum(i) == sum(shadow[: i + 1])

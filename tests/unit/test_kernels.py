@@ -9,13 +9,13 @@ from repro.buffer.kernels import (
     SAMPLED_BAND_ERROR_BOUND,
     ApproximateFetchCurve,
     BaselineKernel,
-    CompactKernel,
     SampledKernel,
     available_kernels,
     get_kernel,
     register_kernel,
     resolve_kernel,
 )
+from repro.buffer.lru import LRUBufferPool
 from repro.buffer.stack import FetchCurve
 from repro.errors import KernelError, TraceError
 
@@ -34,11 +34,10 @@ def _random_trace(seed, max_len=300, max_pages=40):
 class TestRegistry:
     def test_builtins_registered(self):
         names = available_kernels()
-        assert "baseline" in names
-        assert "compact" in names
-        assert "sampled" in names
-        if HAVE_NUMPY:
-            assert "numpy" in names
+        expected = ("baseline", "numpy", "sampled") if HAVE_NUMPY else (
+            "baseline", "sampled"
+        )
+        assert names == expected
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KernelError, match="unknown"):
@@ -58,18 +57,23 @@ class TestRegistry:
 
     def test_resolve_accepts_name_instance_and_none(self):
         assert resolve_kernel(None).name == "baseline"
-        assert resolve_kernel("compact").name == "compact"
-        inst = CompactKernel()
+        assert resolve_kernel("sampled").name == "sampled"
+        inst = SampledKernel()
         assert resolve_kernel(inst) is inst
 
 
 class TestExactKernels:
     @pytest.mark.parametrize("name", EXACT_KERNELS)
     def test_bit_identical_to_from_trace(self, name):
+        # FetchCurve.from_trace runs the baseline pass itself, so the
+        # LRU oracle is the independent reference at every buffer size.
         kernel = get_kernel(name)
         for seed in range(30):
             trace = _random_trace(seed)
-            assert kernel.analyze(trace) == FetchCurve.from_trace(trace)
+            curve = kernel.analyze(trace)
+            for b in range(1, curve.distinct_pages + 2):
+                assert curve.fetches(b) == LRUBufferPool(b).run(trace)
+            assert curve == FetchCurve.from_trace(trace)
 
     @pytest.mark.parametrize("name", EXACT_KERNELS)
     def test_streaming_matches_one_shot(self, name):
@@ -90,13 +94,6 @@ class TestExactKernels:
         trace = _random_trace(7)
         curve = get_kernel(name).analyze(iter(trace))
         assert curve == FetchCurve.from_trace(trace)
-
-    def test_compact_compaction_is_exercised(self):
-        # More slot turnover than _MIN_CAPACITY forces at least one
-        # compaction; the result must still be exact.
-        rng = random.Random(42)
-        trace = [rng.randrange(3_000) for _ in range(10_000)]
-        assert CompactKernel().analyze(trace) == FetchCurve.from_trace(trace)
 
     def test_reseeded_is_identity_for_exact_kernels(self):
         kernel = BaselineKernel()
@@ -139,7 +136,7 @@ class TestStreamContract:
             stream.finish()
 
     def test_feed_after_finish_raises(self):
-        stream = CompactKernel().stream()
+        stream = SampledKernel().stream()
         stream.feed([1])
         stream.finish()
         with pytest.raises(KernelError, match="finished"):
@@ -164,12 +161,18 @@ class TestSampledKernel:
 
     def test_small_universe_is_exact(self):
         kernel = SampledKernel()
+        traces = []
         for seed in range(20):
             rng = random.Random(seed)
-            trace = [
+            traces.append([
                 rng.randrange(rng.randint(1, 100))
                 for _ in range(rng.randint(1, 400))
-            ]
+            ])
+        # Far more references than the exact pass's initial slot
+        # capacity force several re-packs.
+        rng = random.Random(42)
+        traces.append([rng.randrange(100) for _ in range(10_000)])
+        for trace in traces:
             exact = FetchCurve.from_trace(trace)
             est = kernel.analyze(trace)
             assert all(

@@ -268,7 +268,7 @@ class TestStreamingResume:
     def test_resume_with_wrong_kernel_raises(self, tmp_path):
         trace = _trace()
         self._interrupted_checkpoint(tmp_path, trace)
-        fit = LRUFit(LRUFitConfig(kernel="compact"))
+        fit = LRUFit(LRUFitConfig(kernel="sampled"))
         with pytest.raises(CheckpointError) as exc_info:
             fit.run_streaming(
                 _chunks(trace, 50),

@@ -314,7 +314,7 @@ class TestPaperScaleTrace:
         source = paper_scale_source(
             pattern=pattern, refs=9_000, pages=300, seed=7
         )
-        stream = get_kernel("compact").stream()
+        stream = get_kernel("baseline").stream()
         for chunk in source:
             stream.feed(chunk)
         assert sharded_fetch_curve(source, 4) == stream.finish()

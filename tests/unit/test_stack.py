@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.buffer.kernels.baseline import stack_distances
 from repro.buffer.lru import LRUBufferPool
-from repro.buffer.stack import FetchCurve, StackDistanceAnalyzer, stack_distances
+from repro.buffer.stack import FetchCurve
 from repro.errors import TraceError
 
 
@@ -89,17 +90,3 @@ class TestFetchCurve:
         with pytest.raises(TraceError):
             curve.min_buffer_for(2)
 
-
-class TestAnalyzer:
-    def test_fetch_table_shape(self):
-        analyzer = StackDistanceAnalyzer()
-        table = analyzer.fetch_table([1, 2, 1, 3], [1, 2, 3])
-        assert table == [(1, 4), (2, 3), (3, 3)]
-
-    def test_fetch_table_rejects_empty_sizes(self):
-        with pytest.raises(TraceError):
-            StackDistanceAnalyzer().fetch_table([1], [])
-
-    def test_fetch_table_rejects_bad_sizes(self):
-        with pytest.raises(TraceError):
-            StackDistanceAnalyzer().fetch_table([1], [0])
