@@ -7,16 +7,20 @@ pass rewrites periodically (atomically — see
 processes keep reading it.  :class:`CatalogStore` is the reader's side of
 that contract:
 
-* **content-stamped reload** — each access reads the file once and keys
-  the parsed snapshot by ``(size, sha256)`` of the bytes actually read.
-  An earlier revision stamped ``(mtime_ns, size, inode)`` from a separate
-  ``stat(2)``; that was cheaper but had two real bugs: a same-size
-  in-place rewrite landing within mtime granularity was invisible (stale
-  statistics served forever), and the stat/parse pair could straddle a
-  concurrent rewrite (TOCTOU).  Stamping the content itself closes both
-  — the stamp and the parse always describe the same bytes.  Catalog
-  files are small (KBs), so the read-per-access cost is negligible next
-  to a JSON parse, and the parse still only happens on change;
+* **content-checked reload** — each access reads the file once and
+  compares the bytes with those of the snapshot it currently serves.
+  Equal bytes return that snapshot at once: no hash, no parse, no
+  generation bump.  Only different bytes are stamped ``(size, sha256)``
+  and looked up in (or parsed into) the snapshot cache.  Correctness
+  rests on the bytes actually read, never on file metadata.  An earlier
+  revision stamped ``(mtime_ns, size, inode)`` from a separate
+  ``stat(2)``; that had two real bugs: a same-size in-place rewrite
+  landing within mtime granularity was invisible (stale statistics
+  served forever), and the stat/parse pair could straddle a concurrent
+  rewrite (TOCTOU).  So there is no stat shortcut in front of the read
+  either: on an ~80 KB catalog the byte compare costs about what a
+  ``stat`` does, and it has no racy-timestamp window.  What an
+  unchanged access still pays is the raw read itself;
 * **bounded snapshot cache** — recently parsed snapshots are kept in a
   small LRU keyed by stamp, so a writer flapping between generations (or
   tests restoring a previous file) does not force a reparse per flip;
@@ -73,6 +77,9 @@ _VERSION_SUFFIX = ".json"
 #: ``(size, sha256 hexdigest)`` of the file content.
 _Stamp = Tuple[int, str]
 
+#: The served snapshot with the exact bytes and stamp it was parsed from.
+_Current = Tuple[bytes, _Stamp, SystemCatalog]
+
 
 class CatalogIO:
     """Real filesystem access used by :class:`CatalogStore`.
@@ -85,7 +92,8 @@ class CatalogIO:
 
     def read_bytes(self, path: Union[str, Path]) -> bytes:
         """The complete current content of ``path``."""
-        return Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as handle:
+            return handle.readall()
 
     def save_text(self, path: Union[str, Path], text: str) -> None:
         """Atomically replace ``path`` with ``text``."""
@@ -122,7 +130,9 @@ class CatalogStore:
         self._io = io or CatalogIO()
         self._history = history
         self._snapshots: "OrderedDict[_Stamp, SystemCatalog]" = OrderedDict()
-        self._current_stamp: Optional[_Stamp] = None
+        # One attribute, read once per call, so a concurrent reader never
+        # pairs one version's bytes with another version's snapshot.
+        self._current: Optional[_Current] = None
         self._generation = 0
         # In-process floor for version ids: never reuse an id this store
         # already assigned, even after retention pruned its file.
@@ -143,27 +153,33 @@ class CatalogStore:
         """Increments every time the served snapshot changes."""
         return self._generation
 
-    def _read(self) -> Tuple[_Stamp, bytes]:
-        """One read of the catalog file plus its content stamp.
+    def _read(self) -> bytes:
+        """One read of the catalog file.
 
         Raises :class:`~repro.errors.CatalogError` when the file does
         not exist; any other :class:`OSError` (the transient class)
         propagates for the caller — or a resilient subclass — to handle.
         """
         try:
-            data = self._io.read_bytes(self._path)
+            return self._io.read_bytes(self._path)
         except FileNotFoundError:
             raise CatalogError(
                 f"catalog file {str(self._path)!r} does not exist; run "
                 f"statistics collection (e.g. `repro fit --catalog ...`) "
                 f"first"
             ) from None
-        return (len(data), hashlib.sha256(data).hexdigest()), data
 
-    def _parse_and_cache(
-        self, stamp: _Stamp, data: bytes
-    ) -> SystemCatalog:
-        """Serve the snapshot for ``(stamp, data)``, parsing on miss."""
+    def _snapshot_for(self, data: bytes) -> SystemCatalog:
+        """Serve the snapshot for the bytes ``data`` just read.
+
+        Bytes equal to the current snapshot's return it unchanged; any
+        difference stamps them and serves from the cache, parsing on
+        miss.  Both :meth:`catalog` implementations go through here.
+        """
+        current = self._current
+        if current is not None and current[0] == data:
+            return current[2]
+        stamp = (len(data), hashlib.sha256(data).hexdigest())
         snapshot = self._snapshots.get(stamp)
         if snapshot is None:
             try:
@@ -179,15 +195,14 @@ class CatalogStore:
                 self._snapshots.popitem(last=False)
         else:
             self._snapshots.move_to_end(stamp)
-        if stamp != self._current_stamp:
-            self._current_stamp = stamp
-            self._generation += 1
+        # Different bytes always mean a different stamp: a new generation.
+        self._generation += 1
+        self._current = (data, stamp, snapshot)
         return snapshot
 
     def catalog(self) -> SystemCatalog:
         """The current snapshot, reloaded iff the file changed on disk."""
-        stamp, data = self._read()
-        return self._parse_and_cache(stamp, data)
+        return self._snapshot_for(self._read())
 
     def get(self, index_name: str) -> IndexStatistics:
         """Statistics for one index from the current snapshot."""
@@ -205,7 +220,7 @@ class CatalogStore:
     def invalidate(self) -> None:
         """Drop all cached snapshots; the next access reparses the file."""
         self._snapshots.clear()
-        self._current_stamp = None
+        self._current = None
         self._generation += 1
 
     def save(self, catalog: SystemCatalog) -> None:
@@ -213,7 +228,7 @@ class CatalogStore:
 
         The write goes through this store's :class:`CatalogIO` (so
         injected write faults apply); the next :meth:`catalog` call
-        picks the new file up through the normal stamp check (and bumps
+        picks the new file up through the normal content check (and bumps
         :attr:`generation` accordingly).  With ``history > 0`` the
         intended bytes are archived as a new version *before* the
         publish — see :meth:`save_text`.

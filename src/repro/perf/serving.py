@@ -6,12 +6,13 @@ its own LRU-Fit catalog under an isolated namespace, padded to
 cold records cloned from it.  The padding models what a real namespace
 holds (the paper's GWL database spans 57 tables with multiple indexed
 columns each, i.e. on the order of a hundred catalog records), and it
-matters for honesty: the per-call fixed cost the micro-batcher
-amortizes is dominated by the content-stamped catalog re-read, which
-scales with the catalog *file*, not with the one record a request
-touches.  Traffic still targets each tenant's hot index — optimizer
-compilations concentrate on hot tables — so batches group per tenant,
-not per cold record.
+matters for honesty: part of the per-call fixed cost the micro-batcher
+amortizes is the catalog check — a raw read and a byte compare of the
+whole file, hashed and parsed only when it changed — which scales with
+the catalog *file*, not with the one record a request touches.
+Traffic still targets each tenant's hot index — optimizer compilations
+concentrate on hot tables — so batches group per tenant, not per cold
+record.
 
 The benchmark then measures the serving tier over one seeded request
 stream:
@@ -23,8 +24,8 @@ stream:
   identity check.
 * **one-request-per-call baseline** — the serving path with batching
   disabled (``max_batch=1``) at the same 8 concurrent clients: every
-  request pays the full engine-call fixed cost (content-stamped
-  catalog re-read, binding-cache lookup, metrics) plus one dispatcher
+  request pays the full engine-call fixed cost (catalog read and
+  byte compare, binding-cache lookup, metrics) plus one dispatcher
   round-trip.  This is the baseline the speedup criterion is defined
   against — same clients, same stream, batching off.
 * **closed loop, batched** — the same stream through

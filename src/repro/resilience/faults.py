@@ -26,7 +26,7 @@ Fault kinds (each valid for specific operations):
     Perform the write, pad the new content to the old file's size when
     possible, and restore the old mtime — the same-size-within-mtime-
     granularity rewrite that made stat-stamp staleness checks lie (the
-    content stamp must still detect it).
+    content check must still detect it).
 """
 
 from __future__ import annotations

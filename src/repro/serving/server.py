@@ -3,10 +3,11 @@
 The paper's consumption side (Est-IO) is meant to answer thousands of
 optimizer compilations per second against shared statistics.  The
 per-call cost of :meth:`~repro.engine.EstimationEngine.estimate` is
-dominated by fixed overhead — the content-stamped catalog re-read, the
-binding-cache lookup, metrics — not by evaluating the six-segment
-curve.  :class:`EstimationServer` amortizes that overhead the way a
-high-QPS service does:
+dominated by fixed overhead — metric recording, the binding-cache
+lookup, the raw catalog read and byte compare that checks for a new
+version — not by evaluating the six-segment curve.
+:class:`EstimationServer` amortizes that overhead the way a high-QPS
+service does:
 
 * **request loop** — callers :meth:`submit` requests from any thread
   and get a :class:`concurrent.futures.Future`; a small pool of

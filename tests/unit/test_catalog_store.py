@@ -1,11 +1,19 @@
 """Unit tests for the reloading CatalogStore."""
 
+import dataclasses
+import hashlib
 import os
+import threading
+import types
 
 import pytest
 
+import repro.catalog.store as store_module
 from repro.catalog import CatalogStore, SystemCatalog
+from repro.catalog.store import CatalogIO
 from repro.errors import CatalogError
+from repro.perf.serving import FULL_CATALOG_BREADTH, provision_tenants
+from repro.resilience import ResilientCatalogStore
 
 from tests.unit.test_catalog import _stats
 
@@ -121,3 +129,142 @@ class TestCatalogStore:
         assert "t.b" in store
         assert "t.a" not in store
         assert store.generation > generation
+
+
+# ----------------------------------------------------------------------
+# Unchanged-file checks at serving scale
+# ----------------------------------------------------------------------
+STORES = (CatalogStore, ResilientCatalogStore)
+
+
+@pytest.fixture(scope="module")
+def tenant_catalog(tmp_path_factory):
+    """One tenant catalog of the serving benchmark's shape: 96 records,
+    about 83 KB — the size at which hashing every read showed up."""
+    root = tmp_path_factory.mktemp("tenants")
+    tenants = provision_tenants(
+        root, tenant_count=1, records=3_000,
+        catalog_breadth=FULL_CATALOG_BREADTH,
+    )
+    path = tenants.catalog_path("tenant-0")
+    assert os.path.getsize(path) > 80_000
+    return SystemCatalog.load(path)
+
+
+def _renamed(catalog, old, new):
+    """``catalog`` with record ``old`` renamed to ``new``."""
+    renamed = SystemCatalog()
+    for name in catalog:
+        stats = catalog.get(name)
+        if name == old:
+            stats = dataclasses.replace(stats, index_name=new)
+        renamed.put(stats)
+    return renamed
+
+
+def _same_size_versions(catalog):
+    """Two catalogs whose files differ in content but not in size."""
+    cold = sorted(name for name in catalog if name.endswith(".cold0"))[0]
+    other = _renamed(catalog, cold, cold[:-1] + "x")
+    assert len(catalog.to_json()) == len(other.to_json())
+    assert catalog.to_json() != other.to_json()
+    return catalog, other
+
+
+class _CountingIO(CatalogIO):
+    def __init__(self):
+        self.reads = 0
+
+    def read_bytes(self, path):
+        self.reads += 1
+        return super().read_bytes(path)
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Count SHA-256 digests taken by the store module and parses."""
+    counts = {"digests": 0, "parses": 0}
+
+    def sha256(data=b""):
+        counts["digests"] += 1
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(
+        store_module, "hashlib", types.SimpleNamespace(sha256=sha256)
+    )
+    parse = SystemCatalog.from_json.__func__
+
+    def from_json(cls, text):
+        counts["parses"] += 1
+        return parse(cls, text)
+
+    monkeypatch.setattr(SystemCatalog, "from_json", classmethod(from_json))
+    return counts
+
+
+@pytest.mark.parametrize("store_class", STORES)
+def test_unchanged_file_costs_one_read_and_no_digest(
+    tmp_path, tenant_catalog, counters, store_class
+):
+    path = tmp_path / "catalog.json"
+    tenant_catalog.save(path)
+    io = _CountingIO()
+    store = store_class(path, io=io)
+    first = store.catalog()
+    assert (io.reads, counters["digests"], counters["parses"]) == (1, 1, 1)
+    generation = store.generation
+
+    for _ in range(100):
+        assert store.catalog() is first
+    assert io.reads == 101
+    assert counters["digests"] == 1
+    assert counters["parses"] == 1
+    assert store.generation == generation
+    if store_class is ResilientCatalogStore:
+        assert store.metrics()["reads"] == 101
+
+    _, other = _same_size_versions(tenant_catalog)
+    store.save(other)
+    served = store.catalog()
+    assert served.to_json() == other.to_json()
+    assert store.generation == generation + 1
+    assert counters["digests"] == 2
+    assert counters["parses"] == 2
+
+
+@pytest.mark.parametrize("store_class", STORES)
+def test_readers_see_only_whole_versions_while_a_writer_flips(
+    tmp_path, tenant_catalog, store_class
+):
+    versions = _same_size_versions(tenant_catalog)
+    texts = {catalog.to_json() for catalog in versions}
+    path = tmp_path / "catalog.json"
+    versions[0].save(path)
+    store = store_class(path)
+    store.catalog()
+    stop = threading.Event()
+    seen = {}
+    errors = []
+
+    def read():
+        try:
+            while not stop.is_set():
+                snapshot = store.catalog()
+                seen.setdefault(id(snapshot), snapshot)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    for thread in readers:
+        thread.start()
+    try:
+        for flip in range(40):
+            store.save(versions[flip % 2])
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join()
+
+    assert errors == []
+    assert {snapshot.to_json() for snapshot in seen.values()} <= texts
+    assert store.catalog().to_json() == versions[1].to_json()
