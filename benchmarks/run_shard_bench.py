@@ -7,10 +7,11 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/run_shard_bench.py --smoke    # structure only
 
 The full run streams a paper-scale trace (10^7 references over 200k
-pages) through a single-process pass of the default kernel (``baseline``)
-and through sharded passes at 1/2/4/8 workers, recording wall and
-critical-path speedups, the merged-vs-exact verdict at every worker count,
-and the sampled kernel's merged-curve band error.  The acceptance gate
+pages) through a single-process pass of the default kernel (``numpy``
+when numpy imports, else ``baseline``) and through sharded passes at
+1/2/4/8 workers, recording wall and critical-path speedups, the
+merged-vs-exact verdict at every worker count, and the sampled kernel's
+merged-curve band error.  The acceptance gate
 (speedup >= 2.5x at 4 workers; >= 1.2x at 2 workers under --smoke) is
 judged on wall clock when the host has >= 4 cores and on the critical
 path otherwise — see

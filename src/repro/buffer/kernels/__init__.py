@@ -6,13 +6,15 @@ the library runs an LRU analysis (``LRUFitConfig.kernel``, the experiment
 runner, ``repro perf``):
 
 ``baseline``
-    The Fenwick-tree-over-positions pass; exact, O(M log M), the default.
+    The Fenwick-tree-over-positions pass; exact, O(M log M), and the
+    default when numpy is not installed.
 ``sampled``
     SHARDS-style spatial hash sampling; approximate with a documented
     error bound, an order of magnitude faster on large traces.
 ``numpy``
     Exact vectorized offline computation; registered only when numpy is
-    importable (the package itself stays zero-dependency).
+    importable (the package itself stays zero-dependency), and then the
+    default.
 
 Beyond the LRU stack kernels, the registry carries a **policy**
 dimension: ``clock``, ``2q``, and ``lecar-tinylfu`` resolve to

@@ -115,9 +115,11 @@ class KernelStream(abc.ABC):
     def snapshot_state(self) -> bytes:
         """The stream's complete mid-pass state, serialized.
 
-        Every built-in stream keeps only plain Python state (dicts, lists,
-        integers), so the default pickle round-trip restores it exactly;
-        a kernel holding unpicklable state must override this pair.
+        Built-in streams hold picklable state: plain Python dicts, lists
+        and integers, or, for the ``numpy`` stream, a list of the int64
+        ndarrays fed so far.  The default pickle round-trip restores
+        either exactly; a kernel holding unpicklable state must override
+        this pair.
         Snapshots are internal wire data for checkpoints — not a stable
         cross-version format.
         """

@@ -168,7 +168,7 @@ def merge_exact_summaries(
             mask |= powers[next_slot]
             next_slot += 1
 
-    curve = FetchCurve.from_distances(histogram, cold)
+    curve = FetchCurve.from_histogram(histogram, cold)
     return curve, SeamStats(
         seam_reuses=seam_reuses,
         cold_misses=cold,

@@ -18,7 +18,7 @@ itself — a Fenwick tree over "most recent occurrence" flags, O(M log M) for
 a trace of M references — is
 :func:`repro.buffer.kernels.baseline.stack_distances`; the other kernels in
 :mod:`repro.buffer.kernels` build the same curve through
-:meth:`FetchCurve.from_distances`.
+:meth:`FetchCurve.from_histogram`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import TraceError
 
@@ -79,19 +79,30 @@ class FetchCurve:
     ) -> "FetchCurve":
         """Build the curve from a precomputed reuse-depth sequence.
 
-        This is the constructor the pluggable kernels use: any pass that
-        produces the multiset of reuse depths plus the compulsory-miss
-        count yields exactly this curve.  ``Counter`` does the histogram
-        in C rather than a Python dict loop.
+        Any pass that produces the multiset of reuse depths plus the
+        compulsory-miss count yields exactly this curve.  ``Counter``
+        does the histogram in C rather than a Python dict loop.
         """
-        histogram = Counter(distances)
-        accesses = cold_misses + sum(histogram.values())
-        if not accesses:
-            raise TraceError("cannot build a FetchCurve from an empty trace")
-        depths = tuple(sorted(histogram))
+        return cls.from_histogram(Counter(distances), cold_misses)
+
+    @classmethod
+    def from_histogram(
+        cls, histogram: Mapping[int, int], cold_misses: int
+    ) -> "FetchCurve":
+        """Build the curve from a reuse-depth histogram (depth -> count).
+
+        This is the constructor the pluggable kernels and the shard merge
+        share: a histogram holds everything the curve needs, so a kernel
+        never has to materialize one integer per reuse.  Depths with a
+        zero count are ignored, so equal multisets give equal curves.
+        """
+        depths = tuple(sorted(d for d, count in histogram.items() if count))
         cumulative = tuple(
             itertools.accumulate(histogram[d] for d in depths)
         )
+        accesses = cold_misses + (cumulative[-1] if cumulative else 0)
+        if not accesses:
+            raise TraceError("cannot build a FetchCurve from an empty trace")
         return cls(
             accesses=accesses,
             distinct_pages=cold_misses,

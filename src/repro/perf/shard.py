@@ -1,7 +1,8 @@
 """The BENCH_shard benchmark: sharded LRU-Fit scaling as JSON.
 
-Times a single-process pass of one kernel (the registry's default,
-``baseline``, unless another is named) over a paper-scale trace (see
+Times a single-process pass of one kernel (the registry's default —
+``numpy`` when numpy imports, else ``baseline`` — unless another is
+named) over a paper-scale trace (see
 :mod:`repro.trace.paper_scale`), then a sharded pass at each requested
 worker count (``shards == workers``), and writes the scaling curve to
 ``BENCH_shard.json``:

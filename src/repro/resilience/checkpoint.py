@@ -24,6 +24,14 @@ digest, and the base64 stream snapshot guarded by its own SHA-256 — a
 truncated or hand-edited checkpoint fails closed with
 :class:`~repro.errors.CheckpointError` instead of silently corrupting
 statistics.
+
+A checkpoint resumes only under the kernel that wrote it.  The default
+kernel is ``numpy`` when numpy imports and ``baseline`` otherwise, so a
+checkpoint written with ``kernel="baseline"`` (or on a host without
+numpy) and resumed under the default configuration on a numpy host
+raises :class:`~repro.errors.CheckpointError` before any reference is
+fed; the checkpoint is kept, and a resume with ``kernel="baseline"``
+completes it.
 """
 
 from __future__ import annotations

@@ -56,7 +56,8 @@ class TestRegistry:
         assert kernel.min_pages == 3
 
     def test_resolve_accepts_name_instance_and_none(self):
-        assert resolve_kernel(None).name == "baseline"
+        default = "numpy" if HAVE_NUMPY else "baseline"
+        assert resolve_kernel(None).name == default
         assert resolve_kernel("sampled").name == "sampled"
         inst = SampledKernel()
         assert resolve_kernel(inst) is inst
@@ -290,3 +291,30 @@ class TestVectorizedKernel:
         ]
         for trace in cases:
             assert kernel.analyze(trace) == FetchCurve.from_trace(trace)
+
+    @pytest.mark.parametrize("log2_refs", [18, 20])
+    def test_peak_memory_is_linear(self, log2_refs):
+        # The kernel's own allocations, traced by numpy's allocator
+        # hooks: int64 keys and int32 counters plus O(slab) per level.
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.buffer.kernels.vectorized import (
+            _histogram,
+            _vectorized_distances,
+        )
+
+        refs = 1 << log2_refs
+        pages = np.random.default_rng(log2_refs).integers(
+            0, refs // 4, refs, dtype=np.int64
+        )
+        tracemalloc.start()
+        try:
+            counts, cold = _vectorized_distances(pages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / refs <= 48
+        curve = FetchCurve.from_histogram(_histogram(counts), cold)
+        assert curve == get_kernel("baseline").analyze(pages.tolist())

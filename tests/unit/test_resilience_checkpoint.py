@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.buffer.kernels import resolve_kernel
+from repro.buffer.kernels import DEFAULT_KERNEL, resolve_kernel
+from repro.buffer.kernels.base import KernelStream
 from repro.errors import CheckpointError, EstimationError
 from repro.estimators.epfis import LRUFit, LRUFitConfig
 from repro.resilience.checkpoint import (
@@ -223,7 +224,7 @@ class TestStreamingResume:
         assert ckpt.saves >= 1
         assert not ckpt.exists()  # cleared after a completed pass
 
-    def _interrupted_checkpoint(self, tmp_path, trace):
+    def _interrupted_checkpoint(self, tmp_path, trace, config=None):
         """Run until the first post-checkpoint chunk, then die."""
         ckpt = Checkpointer(tmp_path, CheckpointPolicy(every_refs=120))
 
@@ -234,7 +235,7 @@ class TestStreamingResume:
                 yield chunk
 
         with pytest.raises(KeyboardInterrupt):
-            LRUFit().run_streaming(
+            LRUFit(config).run_streaming(
                 dying_chunks(),
                 table_pages=len(set(trace)),
                 distinct_keys=len(set(trace)),
@@ -278,6 +279,42 @@ class TestStreamingResume:
                 resume=True,
             )
         assert "kernel" in str(exc_info.value)
+
+    @pytest.mark.skipif(
+        DEFAULT_KERNEL == "baseline", reason="baseline is the default"
+    )
+    def test_baseline_checkpoint_under_default_kernel_fails_closed(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint from the pure-Python kernel (an explicit
+        ``kernel="baseline"``, or a host without numpy) cannot resume
+        under the numpy default: the resume refuses before it feeds or
+        finishes any stream, and keeps the checkpoint for a baseline
+        resume."""
+        trace = _trace()
+        baseline = LRUFitConfig(kernel="baseline")
+        self._interrupted_checkpoint(tmp_path, trace, baseline)
+        finished = []
+        finish = KernelStream.finish
+
+        def spy(stream):
+            finished.append(stream)
+            return finish(stream)
+
+        monkeypatch.setattr(KernelStream, "finish", spy)
+        with pytest.raises(CheckpointError, match="'baseline'"):
+            _run(trace, checkpoint=tmp_path, resume=True)
+        assert finished == []
+        assert Checkpointer(tmp_path).exists()
+        resumed = LRUFit(baseline).run_streaming(
+            _chunks(trace, 50),
+            table_pages=len(set(trace)),
+            distinct_keys=len(set(trace)),
+            index_name="t.ckpt",
+            checkpoint=tmp_path,
+            resume=True,
+        )
+        assert resumed == _run(trace)
 
     def test_resume_with_diverged_trace_raises(self, tmp_path):
         trace = _trace()

@@ -1,6 +1,8 @@
 """Unit tests for the sharded, mergeable stack-distance pass."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.errors import (
 )
 from repro.estimators.epfis import LRUFit, LRUFitConfig
 from repro.resilience.checkpoint import Checkpointer, CheckpointPolicy
+from repro.trace import paper_scale as paper_scale_mod
 from repro.trace.paper_scale import (
     PaperScaleSpec,
     PaperScaleTrace,
@@ -331,6 +334,89 @@ class TestPaperScaleTrace:
         source = paper_scale_source(refs=100, pages=10)
         with pytest.raises(TraceError, match="outside"):
             list(source.chunks(0, 101))
+
+    def test_zipf_values_pinned(self):
+        source = paper_scale_source(refs=20_000, pages=1_000, seed=3)
+        flat = [p for chunk in source for p in chunk]
+        assert flat[:8] == [739, 739, 68, 324, 643, 312, 424, 640]
+        assert flat[-3:] == [457, 485, 548]
+        digest = hashlib.sha256(",".join(map(str, flat)).encode())
+        assert digest.hexdigest() == (
+            "320f6d91285a0506ef5ace1b47b8a977"
+            "312084ef6e5e77c0f6bccdb5c2df194e"
+        )
+
+
+def _scalar_chunks(monkeypatch, source, lo, hi):
+    """``source.chunks(lo, hi)`` on the pure-Python path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(paper_scale_mod, "_np", None)
+        return list(source.chunks(lo, hi))
+
+
+def _unmix64(z):
+    """Invert the SplitMix64 finalizer of ``paper_scale._mix64``."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unshift(z, 30)
+
+
+@pytest.mark.skipif(
+    paper_scale_mod._np is None, reason="numpy not installed"
+)
+class TestNumpyZipfGenerator:
+    """The numpy zipf path yields exactly the pure-Python trace."""
+
+    @pytest.mark.parametrize("theta", [0.5, 0.86, 0.99])
+    @pytest.mark.parametrize("pages", [1_000, 200_000])
+    def test_matches_scalar_path(self, monkeypatch, theta, pages):
+        # (4_097, 75_000) starts unaligned and crosses a numpy batch.
+        for seed in (0, 1, 2**64 + 11):
+            source = paper_scale_source(
+                refs=80_000, pages=pages, theta=theta, seed=seed
+            )
+            for lo, hi in ((4_097, 75_000), (65_535, 65_537), (0, 1)):
+                fast = list(source.chunks(lo, hi))
+                slow = _scalar_chunks(monkeypatch, source, lo, hi)
+                assert [len(c) for c in fast] == [len(c) for c in slow]
+                assert fast == slow, (seed, lo, hi)
+                assert {type(p) for c in fast for p in c} == {int}
+
+    def test_fixup_recomputes_boundary_draws(self, monkeypatch):
+        # Pick the seed so that position 1_234 hashes to the draw that
+        # lands on a bucket boundary: there numpy's u may round to the
+        # other bucket, so the scalar path must decide it.
+        pages, position = 1_000, 1_234
+        table = paper_scale_source(refs=1, pages=pages)
+        boundary = Fraction(table._cumulative[pages // 2])
+        z = int(boundary / Fraction(table._total_weight) * ((1 << 64) - 1))
+        golden = 0x9E3779B97F4A7C15
+        seed = (_unmix64(z) - position * golden) % (1 << 64)
+        assert paper_scale_mod._mix64(seed, position) == z
+        source = paper_scale_source(refs=5_000, pages=pages, seed=seed)
+
+        fixed = []
+        draws = PaperScaleTrace._zipf_draws
+
+        def spy(self, lo, hi):
+            fixed.append((lo, hi))
+            return draws(self, lo, hi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PaperScaleTrace, "_zipf_draws", spy)
+            fast = list(source.chunks(1_000, 3_001))
+        assert fixed == [(position, position + 1)]
+        assert fast == _scalar_chunks(monkeypatch, source, 1_000, 3_001)
 
 
 class TestLRUFitSharding:
