@@ -392,9 +392,31 @@ class BTreeIndex:
                 previous = key
                 previous_set = True
 
+    def leaves(self) -> Iterator[Tuple[List[_OrderKey], List[RID]]]:
+        """Each leaf's ``(order_keys, rids)`` lists, left to right.
+
+        ``order_keys[i]`` is the ``(key, seq)`` of ``rids[i]``.  The lists
+        are the tree's own, not copies: read them, never change them.
+        Whole-index statistics walk these instead of :meth:`items`, so
+        they make no per-entry objects and step no per-entry generator.
+        """
+        for leaf in self._iter_leaves():
+            yield leaf.order_keys, leaf.rids
+
     def distinct_key_count(self) -> int:
-        """The paper's ``I``: number of distinct key values in the index."""
-        return sum(1 for _ in self.keys())
+        """The paper's ``I``: number of distinct key values in the index.
+
+        One walk over the leaves, counting key changes as :meth:`keys`
+        yields them.
+        """
+        count = 0
+        previous: Any = object()  # unequal to every key
+        for order_keys, _rids in self.leaves():
+            for key, _seq in order_keys:
+                if key != previous:
+                    count += 1
+                    previous = key
+        return count
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by the property tests)

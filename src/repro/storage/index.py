@@ -136,7 +136,16 @@ class Index:
         start: Optional[KeyBound] = None,
         stop: Optional[KeyBound] = None,
     ) -> List[int]:
-        """Data-page numbers in index order — the scan's reference string."""
+        """Data-page numbers in index order — the scan's reference string.
+
+        The full scan (no bounds) walks the leaves directly, one list
+        extension per leaf.
+        """
+        if start is None and stop is None:
+            pages: List[int] = []
+            for _order_keys, rids in self._btree.leaves():
+                pages.extend([rid.page for rid in rids])
+            return pages
         return [rid.page for _key, rid in self._btree.range(start, stop)]
 
     # ------------------------------------------------------------------

@@ -4,8 +4,11 @@
   ``J`` can be computed directly: with a one-page buffer, every transition
   to a different page is a fetch.
 * :func:`key_page_spans` / :func:`dc_cluster_count` — Algorithm DC's cluster
-  counter ``CC`` walks keys in order and compares each key's first page with
-  the previous key's last page.
+  counter ``CC`` compares each key's first page with the previous key's last
+  page.  :func:`key_page_spans` is the readable definition, built from
+  :meth:`~repro.storage.index.Index.entries`; :func:`dc_cluster_count` is
+  one walk over the B-tree's leaves, comparing the two adjacent entries at
+  each key change, with no per-entry objects.
 """
 
 from __future__ import annotations
@@ -106,14 +109,22 @@ def dc_cluster_count(index: Index, count_first_key: bool = True) -> int:
     say how the very first key is treated; since ``CC/I`` is meant to reach
     1 for a perfectly clustered index, we count the first key as clustered
     by default (``count_first_key=True``).
+
+    A key's first entry directly follows the previous key's last one, so
+    the walk compares the pages of the two entries at each key change:
+    the same test as on adjacent :func:`key_page_spans` rows.
     """
-    spans = key_page_spans(index)
-    if not spans:
-        return 0
-    cc = 1 if count_first_key else 0
-    for (_k1, _first1, last_prev), (_k2, first_next, _last2) in zip(
-        spans, spans[1:]
-    ):
-        if first_next >= last_prev:
-            cc += 1
+    cc = 0
+    previous_key: Any = object()  # unequal to every key
+    # Pages are >= 0: the first key's page is compared with -1 (always
+    # counted) or with +inf (never counted).
+    previous_page: float = -1 if count_first_key else math.inf
+    for order_keys, rids in index.btree.leaves():
+        for (key, _seq), rid in zip(order_keys, rids):
+            page = rid.page
+            if key != previous_key:
+                if page >= previous_page:
+                    cc += 1
+                previous_key = key
+            previous_page = page
     return cc

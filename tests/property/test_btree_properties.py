@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.btree import BTreeIndex, KeyBound
+from repro.storage.index import Index
+from repro.storage.table import Table
+from repro.trace.stats import dc_cluster_count, key_page_spans
 from repro.types import RID
 
 keys = st.integers(min_value=0, max_value=30)
@@ -97,3 +100,112 @@ def test_insert_delete_fuzz_matches_multiset_model(ops, fanout):
     # Keys come out sorted regardless of the operation interleaving.
     got_keys = [k for k, _p in got]
     assert got_keys == sorted(got_keys)
+
+
+# ---------------------------------------------------------------------------
+# Leaf-walk statistics against their entry-level definitions
+# ---------------------------------------------------------------------------
+
+# Runs of one key, long enough to straddle leaves at every fanout tested.
+key_runs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=40),
+    ),
+    min_size=0,
+    max_size=12,
+)
+walk_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=12)),
+    min_size=0,
+    max_size=80,
+)
+
+
+def _empty_index(fanout):
+    return Index("t.k", Table("t", ("k",), records_per_page=10), "k", fanout)
+
+
+def _walked_index(runs, ops, fanout, pages):
+    """An index built from key runs, then random inserts and deletes."""
+    index = _empty_index(fanout)
+    live = []
+    draws = iter(pages)
+
+    def add(key):
+        rid = RID(next(draws, len(live) % 7), len(live) + len(ops))
+        index.add(key, rid)
+        live.append((key, rid))
+
+    for key, length in runs:
+        for _ in range(length):
+            add(key)
+    for position, (is_delete, key) in enumerate(ops):
+        if is_delete and live:
+            victim = live.pop(position * 7919 % len(live))
+            index.remove(*victim)
+        else:
+            add(key)
+    index.btree.validate()
+    return index
+
+
+def _reference_dc(index, count_first_key):
+    spans = key_page_spans(index)
+    if not spans:
+        return 0
+    cc = 1 if count_first_key else 0
+    for (_k1, _f1, last_prev), (_k2, first_next, _l2) in zip(
+        spans, spans[1:]
+    ):
+        if first_next >= last_prev:
+            cc += 1
+    return cc
+
+
+def _assert_walks_match_definitions(index):
+    entries = list(index.entries())
+    assert index.page_sequence() == [e.rid.page for e in entries]
+    assert all(type(page) is int for page in index.page_sequence())
+    assert index.distinct_key_count() == len(key_page_spans(index))
+    assert index.distinct_key_count() == len({e.key for e in entries})
+    for count_first_key in (True, False):
+        assert dc_cluster_count(index, count_first_key) == _reference_dc(
+            index, count_first_key
+        )
+
+
+@given(
+    runs=key_runs,
+    ops=walk_ops,
+    fanout=st.integers(4, 16),
+    pages=st.lists(st.integers(0, 9), max_size=300),
+)
+@settings(max_examples=150)
+def test_leaf_walks_match_entry_definitions(runs, ops, fanout, pages):
+    _assert_walks_match_definitions(
+        _walked_index(runs, ops, fanout, pages)
+    )
+
+
+def test_leaf_walks_on_empty_and_single_entry_trees():
+    empty = _empty_index(4)
+    assert empty.page_sequence() == []
+    assert empty.distinct_key_count() == 0
+    assert dc_cluster_count(empty) == 0
+    assert dc_cluster_count(empty, count_first_key=False) == 0
+    _assert_walks_match_definitions(empty)
+
+    single = _empty_index(4)
+    single.add("only", RID(3, 0))
+    assert single.page_sequence() == [3]
+    assert single.distinct_key_count() == 1
+    assert dc_cluster_count(single) == 1
+    assert dc_cluster_count(single, count_first_key=False) == 0
+    _assert_walks_match_definitions(single)
+
+
+def test_leaf_walks_after_deleting_everything():
+    index = _walked_index([(5, 30)], [(True, 0)] * 30, 4, [])
+    assert len(index.btree) == 0
+    _assert_walks_match_definitions(index)

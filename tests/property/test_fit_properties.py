@@ -1,9 +1,18 @@
 """Property-based tests for piecewise-linear fitting."""
 
-from hypothesis import assume, given, settings
+from unittest import mock
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fit.segments import PiecewiseLinear, fit_greedy, fit_optimal
+from repro.fit import segments
+from repro.fit.segments import (
+    PiecewiseLinear,
+    _chord_sse,
+    _chord_table,
+    fit_greedy,
+    fit_optimal,
+)
 
 # Monotone-decreasing convex-ish samples, like FPF curves.
 point_sets = st.lists(
@@ -78,3 +87,55 @@ def test_evaluate_is_continuous_and_bounded_inside(knots, x):
     if data[0][0] <= x <= data[-1][0]:
         ys = [y for _x, y in data]
         assert min(ys) - 1e-9 <= value <= max(ys) + 1e-9
+
+
+# FPF-like tables up to the paper-scale grid's size: integer-valued,
+# non-monotone, and with tied y values (a small y range forces ties).
+chord_tables = st.one_of(
+    st.integers(min_value=2, max_value=250).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=250_000),
+                st.integers(min_value=0, max_value=1_000_000),
+            ),
+            min_size=n,
+            max_size=n,
+            unique_by=lambda p: p[0],
+        )
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=500),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=2,
+        max_size=120,
+        unique_by=lambda p: p[0],
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-10**6, max_value=10**6).map(
+                lambda v: v / 64
+            ),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        ),
+        min_size=2,
+        max_size=80,
+        unique_by=lambda p: p[0],
+    ),
+)
+
+
+@given(points=chord_tables, segments_budget=segment_counts)
+@settings(max_examples=60)
+def test_chord_table_and_knots_match_scalar_path(points, segments_budget):
+    data = sorted((float(x), float(y)) for x, y in points)
+    n = len(data)
+    table = _chord_table(data)
+    assert table == [
+        [_chord_sse(data, i, j) if j > i else 0.0 for j in range(n)]
+        for i in range(n)
+    ]
+    knots = fit_optimal(data, segments_budget).knots
+    with mock.patch.object(segments, "_np", None):
+        assert fit_optimal(data, segments_budget).knots == knots

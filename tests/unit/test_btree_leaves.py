@@ -31,6 +31,23 @@ class TestLeafCount:
         assert 200 / 8 <= leaves <= 200 / 2
 
 
+class TestLeaves:
+    def test_leaves_concatenate_to_items(self):
+        tree = BTreeIndex(fanout=4)
+        for i in range(60):
+            tree.insert(i % 7, RID(i, 0))
+        walked = [
+            (key, rid)
+            for order_keys, rids in tree.leaves()
+            for (key, _seq), rid in zip(order_keys, rids)
+        ]
+        assert walked == list(tree.items())
+        assert len(list(tree.leaves())) == tree.leaf_count()
+
+    def test_empty_tree_has_one_empty_leaf(self):
+        assert list(BTreeIndex(fanout=4).leaves()) == [([], [])]
+
+
 class TestRangeWithLeaves:
     def test_agrees_with_plain_range(self):
         tree = _tree(entries=120)

@@ -1,12 +1,19 @@
 """Unit tests for piecewise-linear fitting."""
 
 import math
+import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from repro.errors import FitError
+from repro.estimators.epfis import buffer_grid
+from repro.fit import segments
 from repro.fit.segments import (
     PiecewiseLinear,
+    _chord_sse,
+    _chord_table,
     fit_greedy,
     fit_optimal,
     fit_piecewise_linear,
@@ -116,3 +123,78 @@ class TestFitters:
         points = [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 2.0)]
         curve = fit_optimal(points, 2)
         assert len(curve.knots) <= 3
+
+
+def _scalar_table(points):
+    n = len(points)
+    return [
+        [_chord_sse(points, i, j) if j > i else 0.0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _knots_without_numpy(points, budget):
+    with mock.patch.object(segments, "_np", None):
+        return fit_optimal(points, budget).knots
+
+
+def _paper_scale_points():
+    """A 224-point FPF table on the paper-scale zipf grid.
+
+    ``B`` runs from 2000 to 200000 in steps of 890 (the paper's
+    ``2 * sqrt(B_max - B_min)``), and the integer fetch counts fall
+    hyperbolically from about 10^6 towards T = 2x10^5.
+    """
+    grid = buffer_grid(2_000, 200_000)
+    return [
+        (float(b), float(200_000 + 7_900_000_000 // (b + 8_000)))
+        for b in grid
+    ]
+
+
+class TestChordTable:
+    """The numpy chord table is the scalar definition, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # Integer-valued, decreasing, convex: an FPF table.
+            [(float(b), float(50_000 // b + 400)) for b in range(12, 900, 7)],
+            # Non-monotone, with negative and fractional values.
+            [(float(x), math.sin(x / 3.0) * 1e3 - x * 0.37)
+             for x in range(0, 160, 3)],
+            # Tied y values: flat runs, where chords are exact.
+            [(float(x), float(x // 10 * 10)) for x in range(0, 120)],
+            # Two and three points: empty and one-term chords.
+            [(0.0, 1.0), (1.0, 3.0)],
+            [(0.0, 1.0), (1.0, 3.0), (5.0, -2.0)],
+        ],
+        ids=["fpf", "non-monotone", "tied", "two", "three"],
+    )
+    def test_equals_scalar_definition(self, points):
+        assert _chord_table(points) == _scalar_table(points)
+
+    def test_squares_are_correctly_rounded(self):
+        # Flat one-point chords, so each SSE is one residual squared.  It
+        # must be the correctly rounded square, whatever the C library's
+        # pow() does (glibc 2.36 misrounds about 1 in 1200 of these).
+        rng = random.Random(7)
+        residuals = [rng.uniform(-1e4, 1e4) for _ in range(5_000)]
+        points = []
+        for k, r in enumerate(residuals):
+            points += [(2.0 * k, 0.0), (2.0 * k + 1, r)]
+        points.append((2.0 * len(residuals), 0.0))
+        assert [
+            _chord_sse(points, 2 * k, 2 * k + 2)
+            for k in range(len(residuals))
+        ] == [float(Fraction(r) ** 2) for r in residuals]
+
+    def test_paper_scale_grid_regression(self):
+        points = _paper_scale_points()
+        assert len(points) == 224
+        assert _chord_table(points) == _scalar_table(points)
+        knots = fit_optimal(points, 6).knots
+        assert knots == _knots_without_numpy(points, 6)
+        assert [x for x, _y in knots] == [
+            2000.0, 6450.0, 14460.0, 27810.0, 52730.0, 99900.0, 200000.0,
+        ]
