@@ -4,25 +4,38 @@ The stack depth of a reuse at position ``t`` with previous occurrence
 ``prev(t)`` equals the number of positions ``j < t`` whose *own* previous
 occurrence satisfies ``prev(j) <= prev(t)`` (each such ``j`` is the most
 recent touch of a distinct page in the window), minus ``prev(t)`` — a
-classic 2-D dominance-counting problem.  This kernel solves it offline
-with a bottom-up merge sort over power-of-two levels.  One int64 array
-holds every position keyed by ``(prev, position)``, sorted within blocks
-of the current width.  Each level merges the sorted halves of every
-block with one stable in-place row sort; in merged order, the left-half
-positions before a right-half position are exactly its dominated
-partners at that level, so a running ``cumsum`` counts them.  Every pair
-``j < t`` meets at exactly one level.  That is O(M log M) vectorized
-work, with no per-reference Python loop and no binary search.
+classic 2-D dominance-counting problem, solved offline in two steps.
+
+*Grouping.*  One unstable sort of the int64 keys
+``page << shift | position`` (unique, so stability is not needed) puts
+each page's positions next to each other in trace order; adjacent keys
+of the same page give every reuse its ``prev``.  Page ids too wide for
+the key's high bits, or negative, are first remapped to dense ids.
+
+*Merging.*  A bottom-up merge sort over power-of-two levels counts the
+dominated pairs.  One int64 array holds every position keyed by
+``(prev, position)``, sorted within blocks of the current width.  Each
+level merges the sorted halves of every block with one stable in-place
+row sort; in merged order, the left-half positions before a right-half
+position are exactly its dominated partners at that level.  The k-th
+right-half position of a slab, at slab index i, has i - k left-half
+positions before it, so counting them needs no ``cumsum``: only the
+right-half keys are picked out, and an ``np.add.at`` adds the counts to
+their positions.  Every pair ``j < t`` meets at exactly one level.
+That is O(M log M) vectorized work, with no per-reference Python loop
+and no binary search.
 
 The output is a depth histogram (an int64 ``bincount``) rather than one
 integer per reuse, fed to :meth:`FetchCurve.from_histogram
-<repro.buffer.stack.FetchCurve.from_histogram>`.  Memory stays linear:
-the keyed array (8 B per position) and the per-position depth counters
-(int32 below 2**31 - 1 references, int64 beyond) are the only O(M) state
-across levels, and each level works in slabs of :data:`_SLAB`
+<repro.buffer.stack.FetchCurve.from_histogram>`.  The stream's
+:meth:`~_VectorizedStream.shard_summary` takes each page's first and
+last occurrence from the same grouping sort.  Memory stays linear: the
+keyed array (8 B per position) and the per-position depth counters
+(int32 below 2**31 - 1 references, int64 beyond) are the only O(M)
+state across levels, and each level works in slabs of :data:`_SLAB`
 positions, so per-level temporaries are O(slab).  ``tracemalloc``
-measures about 20 bytes of temporaries per reference on a uniform
-2**20-reference trace (25 at 2**18, where the slab weighs more); the
+measures about 15 bytes of temporaries per reference on a uniform
+2**20-reference trace (20 at 2**18, where the slab weighs more); the
 unit tests bound it at 48.
 
 Results are bit-identical to the baseline kernel.  The module always
@@ -55,44 +68,84 @@ HAVE_NUMPY = _np is not None
 _SLAB = 1 << 16
 
 
-def _vectorized_distances(pages) -> "tuple[object, int]":
+def _grouping(pages, shift: int, idx):
+    """Positions sorted by ``(page, position)``, and where pages repeat.
+
+    Returns ``(order, same)``: ``order`` (of dtype ``idx``) holds every
+    position, grouped by page and in trace order within a group;
+    ``same[i]`` is true when ``order[i]`` and ``order[i + 1]`` reference
+    the same page.  One unstable sort of the int64 keys
+    ``page << shift | position`` does the grouping: the keys are unique,
+    so no stable sort is needed, and ``shift`` bits hold any position.
+    Page ids that do not fit the key's high bits (negative ids, or ids
+    of more than ``63 - shift`` bits) are first remapped to dense ids,
+    which keeps their order.
+    """
+    np = _np
+    n = int(pages.size)
+    if int(pages.min()) < 0 or int(pages.max()) >> (63 - shift):
+        pages = np.unique(pages, return_inverse=True)[1]
+    key = np.empty(n, dtype=np.int64)
+    np.left_shift(pages, shift, out=key, dtype=np.int64, casting="unsafe")
+    for lo in range(0, n, _SLAB):
+        key[lo:lo + _SLAB] |= np.arange(lo, min(lo + _SLAB, n))
+    key.sort()
+    order = np.empty(n, dtype=idx)
+    np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
+    key >>= shift
+    same = key[1:] == key[:-1]
+    return order, same
+
+
+def _vectorized_distances(pages, ends: bool = False) -> tuple:
     """Return ``(counts, cold_misses)`` for an integer page array.
 
     ``counts[d]`` is the number of reuses at stack depth ``d`` (an int64
-    ``bincount``; see :func:`_histogram`).  ``pages`` is not modified.
+    ``bincount``; see :func:`_histogram`).  With ``ends``, two more
+    arrays follow: the position of each page's first occurrence and of
+    its last, both in the grouping sort's page order.  ``pages`` is not
+    modified.
     """
     np = _np
     n = int(pages.size)
     # Positions and depths (and -n - 1, below) fit int32 up to here.
     idx = np.int32 if n < 2**31 - 1 else np.int64
-    # prev[t] = position of the previous occurrence of pages[t]: a
-    # stable sort groups each page's positions in trace order.
-    order = np.argsort(pages, kind="stable").astype(idx, copy=False)
-    sorted_pages = pages[order]
-    same = sorted_pages[1:] == sorted_pages[:-1]
-    del sorted_pages
+    shift = (n - 1).bit_length()
+    # prev[t] = position of the previous occurrence of pages[t]: the
+    # grouping puts each page's positions next to each other.
+    order, same = _grouping(pages, shift, idx)
     reuse = order[1:][same]  # positions with an earlier occurrence
     prev = order[:-1][same]  # ... and that occurrence
+    extra = ()
+    if ends:
+        extra = (
+            order[np.concatenate(([True], ~same))],
+            order[np.concatenate((~same, [True]))],
+        )
     del order, same
     cold = n - int(reuse.size)
     if not reuse.size:
-        return np.zeros(1, dtype=np.int64), cold
+        return (np.zeros(1, dtype=np.int64), cold) + extra
 
     # ``acc`` starts at -prev and gains the window's distinct pages
     # level by level, so it ends as the depth; positions without an
     # earlier occurrence start below -n and stay negative.
     acc = np.full(n, -n - 1, dtype=idx)
     acc[reuse] = -prev
+    del reuse, prev
     # level[j] = (prev(j) + 1) << shift | j, with prev(j) = -1 when j
     # has no earlier occurrence: keys order by prev, then position.
-    shift = (n - 1).bit_length()
-    level = np.arange(n, dtype=np.int64)
-    for s in range(0, reuse.size, _SLAB):
-        level[reuse[s:s + _SLAB]] += (
-            prev[s:s + _SLAB].astype(np.int64) + 1
-        ) << shift
-    del reuse, prev
+    # Read off ``acc`` slab by slab: 1 - acc is prev + 1, or n + 2
+    # (which the modulus sends to 0) when j has no earlier occurrence.
+    level = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _SLAB):
+        key = level[lo:lo + _SLAB]
+        np.subtract(1, acc[lo:lo + _SLAB], out=key, dtype=np.int64)
+        key %= n + 2
+        key <<= shift
+        key |= np.arange(lo, lo + key.size)
     mask = (1 << shift) - 1
+    ranks = np.arange(min(n, _SLAB))
     width = 1
     while width < n:
         span = 2 * width
@@ -104,21 +157,35 @@ def _vectorized_distances(pages) -> "tuple[object, int]":
         # In merged order, a right-half position is preceded in its
         # block by exactly the left-half positions with a smaller or
         # equal prev: the distinct pages its window gains from the left.
+        # The k-th right-half position of a slab, at slab index i, has
+        # i - k left-half positions before it in the slab.
+        if span <= _SLAB:
+            # The slab holds whole blocks, each with ``width`` right-
+            # half positions: drop the left halves of the blocks before.
+            skip = ranks + (ranks & -width)
+        else:
+            skip = ranks
         carry = 0
         for lo in range(0, n, _SLAB):
-            pos = level[lo:lo + _SLAB] & mask
-            left = (pos & width) == 0
-            seen = np.cumsum(left)
-            seen += carry
-            carry = int(seen[-1]) if (lo + _SLAB) % span else 0
-            right = np.flatnonzero(~left)
-            acc[pos[right]] += seen[right] - right // span * width
+            blk = level[lo:lo + _SLAB]
+            right = np.flatnonzero((blk & width) != 0)
+            gained = np.subtract(right, skip[:right.size], dtype=idx)
+            if span > _SLAB:
+                # The slab lies inside one block, after ``carry`` of
+                # its left-half positions.
+                gained += carry
+                carry += blk.size - right.size
+                if (lo + _SLAB) % span == 0:
+                    carry = 0
+            pos = blk[right]
+            pos &= mask
+            np.add.at(acc, pos, gained)
         width = span
-    del level
+    del level, key, blk  # the slab views would keep ``level`` alive
     np.maximum(acc, 0, out=acc)
     counts = np.bincount(acc)
     counts[0] = 0
-    return counts, cold
+    return (counts, cold) + extra
 
 
 def _histogram(counts) -> dict:
@@ -155,9 +222,10 @@ class _VectorizedStream(KernelStream):
     def shard_summary(self) -> ExactShardSummary:
         """Reduce this stream's shard to a mergeable summary.
 
-        One stable argsort groups each page's positions in trace order:
-        the first and last position of every group, re-sorted, give the
-        first- and last-occurrence orders — no Python loop over
+        The kernel's grouping sort already puts each page's positions
+        next to each other in trace order; the first and last position
+        of every group, re-sorted, give the first- and last-occurrence
+        orders — no second sort of the trace, no Python loop over
         references.
         """
         self._close_for_summary()
@@ -165,18 +233,14 @@ class _VectorizedStream(KernelStream):
         if not self._chunks:
             return ExactShardSummary({}, (), (), 0)
         pages = self._pages()
-        counts, _cold = _vectorized_distances(pages)
-        n = int(pages.size)
-        order = np.argsort(pages, kind="stable")
-        sorted_pages = pages[order]
-        starts = np.flatnonzero(sorted_pages[1:] != sorted_pages[:-1]) + 1
-        firsts = order[np.concatenate(([0], starts))]
-        lasts = order[np.concatenate((starts - 1, [n - 1]))]
+        counts, _cold, firsts, lasts = _vectorized_distances(
+            pages, ends=True
+        )
         return ExactShardSummary(
             histogram=_histogram(counts),
             first_seen=tuple(pages[np.sort(firsts)].tolist()),
             recency=tuple(pages[np.sort(lasts)].tolist()),
-            references=n,
+            references=int(pages.size),
         )
 
 

@@ -292,6 +292,59 @@ class TestVectorizedKernel:
         for trace in cases:
             assert kernel.analyze(trace) == FetchCurve.from_trace(trace)
 
+    def test_page_ids_outside_the_key_range(self):
+        # The grouping sort keys each position by page << shift; ids
+        # that are negative or too wide for that are remapped first.
+        kernel = get_kernel("numpy")
+        rng = random.Random(5)
+        wide = [-(2**63), -(2**62) - 1, -7, 2**62 + 3, 2**63 - 1]
+        small = list(range(6))
+        # 300 references: shift = 9, so 2**54 - 1 is the widest id
+        # that fits the key and 2**54 the narrowest that does not.
+        edge = [2**54 - 1, 2**54, 0, 1]
+        for pool in (wide, wide + small, [-3, -2, -1], edge, edge[:1]):
+            trace = [rng.choice(pool) for _ in range(300)]
+            assert kernel.analyze(trace) == BaselineKernel().analyze(trace)
+
+    @pytest.mark.parametrize(
+        "refs", [65_535, 65_537, 3 * 65_536 + 7, 2**18 + 3]
+    )
+    def test_matches_baseline_off_powers_of_two(self, refs):
+        # A partial last merge block, a partial last slab, and blocks
+        # wider than a slab (carried across slabs).
+        rng = random.Random(refs)
+        quarter = [rng.randrange(refs // 4) for _ in range(refs)]
+        distinct = list(range(refs))
+        rng.shuffle(distinct)
+        kernel = get_kernel("numpy")
+        for trace in ([9] * refs, quarter, distinct):
+            assert kernel.analyze(trace) == BaselineKernel().analyze(trace)
+
+    @pytest.mark.slow
+    def test_paper_scale_fit_pinned(self):
+        # 10**7 references (shift = 24): LRU-Fit's record on the
+        # ``--paper-scale`` zipf preset.  The digest was taken with the
+        # kernel that grouped pages by a stable argsort.
+        import hashlib
+        import json
+
+        from repro.estimators.epfis import LRUFit
+        from repro.trace.paper_scale import paper_scale_source
+
+        source = paper_scale_source()
+        pages = source.spec.pages
+        stats = LRUFit().run_streaming(
+            source.chunks(0, source.total_refs), table_pages=pages,
+            distinct_keys=pages, index_name="paper-zipf",
+        )
+        record = json.dumps(
+            stats.to_dict(), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(record.encode()).hexdigest() == (
+            "fb4b28871fa7dc3b5943a8ce095411ac"
+            "913884ba5957436d8d541281ae1afa70"
+        )
+
     @pytest.mark.parametrize("log2_refs", [18, 20])
     def test_peak_memory_is_linear(self, log2_refs):
         # The kernel's own allocations, traced by numpy's allocator

@@ -418,6 +418,47 @@ class TestNumpyZipfGenerator:
         assert fixed == [(position, position + 1)]
         assert fast == _scalar_chunks(monkeypatch, source, 1_000, 3_001)
 
+    def test_one_search_flags_the_two_search_draws(self):
+        # A draw is undecided when the buckets of u * (1 - 2**-48) and
+        # u * (1 + 2**-48) differ; one search plus a look at the found
+        # bucket's two edges must flag exactly those draws.
+        import numpy as np
+
+        table = paper_scale_source(refs=1, pages=1_000)
+        edges, _labels = table._numpy_tables()
+        cumulative = np.asarray(table._cumulative)
+        first, last = cumulative[0], cumulative[-1]
+        interior = cumulative[[1, 17, 499, 998]]
+        near = np.concatenate([
+            interior * (1 + k * 2.0**-52) for k in range(-40, 41)
+        ])
+        u = np.concatenate([
+            # below the first edge
+            [0.0, first / 2, first * (1 - 2.0**-40),
+             np.nextafter(first, 0)],
+            # in the last bucket, from its lower edge to the total weight
+            [(cumulative[-2] + last) / 2, np.nextafter(last, 0), last,
+             cumulative[-2]],
+            # within 2**-48 of an interior edge, and well clear of it
+            near, interior * (1 - 2.0**-40), interior * (1 + 2.0**-40),
+            np.random.default_rng(4).random(2_000) * last,
+        ])
+        below = np.searchsorted(
+            cumulative, u * (1 - 2.0**-48), side="right"
+        )
+        above = np.searchsorted(
+            cumulative, u * (1 + 2.0**-48), side="right"
+        )
+        at, undecided = paper_scale_mod._zipf_buckets(edges, u)
+        assert undecided.tolist() == (below != above).tolist()
+        assert at[~undecided].tolist() == below[~undecided].tolist()
+        # Both kinds occur at both ends of the table and inside it.
+        assert undecided[:8].tolist() == [
+            False, False, False, True, False, True, True, True
+        ]
+        assert undecided[8:8 + near.size].any()
+        assert not undecided[8:8 + near.size].all()
+
 
 class TestLRUFitSharding:
     def test_config_validates_shards(self):
