@@ -46,11 +46,7 @@ from repro.buffer.kernels.registry import (
     register_policy_kernel,
     resolve_kernel,
 )
-from repro.buffer.kernels.mergeable import (
-    ExactShardSummary,
-    SeamStats,
-    merge_exact_summaries,
-)
+from repro.buffer.kernels.mergeable import ExactShardSummary, SeamStats
 from repro.buffer.kernels.sampled import (
     SAMPLED_BAND_ERROR_BOUND,
     ApproximateFetchCurve,
@@ -61,6 +57,7 @@ from repro.buffer.kernels.sampled import (
 from repro.buffer.kernels.sharded import (
     ShardRunResult,
     as_shard_source,
+    merge_exact_summaries,
     run_sharded_pass,
     shard_bounds,
     sharded_chunked_curve,

@@ -15,17 +15,10 @@ Each exact-kernel stream therefore reduces its shard to an
 * ``recency`` — pages in last-local-access order, oldest first (how the
   shard reorders the global LRU stack for its successors).
 
-:func:`merge_exact_summaries` folds summaries left-to-right over a
-global recency structure — a big-integer slot/mask (one occupancy bit
-per live page's recency slot) — replaying each shard's ``first_seen`` sequence
-to resolve seam depths, then re-stacking the shard's ``recency`` pages
-on top.  The result is **bit-identical** to a single uninterrupted pass:
-at every first-local-access, the pages above the previous slot are (a)
-this shard's already-replayed first accesses, each counted once, and (b)
-pre-shard pages whose global last access falls inside the reuse window —
-together exactly the distinct pages the single pass would count.
-
-The sampled (SHARDS) kernel merges differently — by summing per-page
+:func:`repro.buffer.kernels.sharded.merge_exact_summaries` resolves the
+seams with one exact stack pass over the summaries' ``first_seen`` and
+``recency`` pages, shard by shard, and reports :class:`SeamStats`.  The
+sampled (SHARDS) kernel merges differently — by summing per-page
 hash/count states under a shared seed; see
 :func:`repro.buffer.kernels.sampled.merge_sampled_summaries`.
 """
@@ -33,13 +26,9 @@ hash/count states under a shared seed; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
-from repro.buffer.stack import FetchCurve
 from repro.errors import KernelError
-
-#: Initial/minimum slot capacity of the merge recency structure.
-_MIN_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -84,93 +73,3 @@ class SeamStats:
     cold_misses: int
     #: Shards merged (empty shards included).
     shards: int
-
-
-def merge_exact_summaries(
-    summaries: Sequence[ExactShardSummary],
-) -> Tuple[FetchCurve, SeamStats]:
-    """Fold shard summaries (in trace order) into the single-pass curve.
-
-    Bit-identical to analyzing the concatenated trace with any exact
-    kernel.  Raises :class:`~repro.errors.KernelError` when given no
-    summaries and :class:`~repro.errors.TraceError` when the summaries
-    cover zero references (matching an empty-trace single pass).
-    """
-    if not summaries:
-        raise KernelError("cannot merge zero shard summaries")
-
-    histogram: Dict[int, int] = {}
-    # Global recency structure: live page -> slot, one occupancy bit per
-    # slot in a big integer, monotone slot assignment with periodic
-    # re-packing (the technique of sampled._tagged_distances).
-    slot_of: Dict[int, int] = {}
-    mask = 0
-    next_slot = 0
-    capacity = _MIN_CAPACITY
-    powers = [1 << i for i in range(capacity + 1)]
-    seam_reuses = 0
-    cold = 0
-
-    def compact() -> None:
-        nonlocal mask, next_slot, capacity
-        live = sorted(slot_of.items(), key=lambda kv: kv[1])
-        slot_of.clear()
-        slot_of.update(
-            (page, i) for i, (page, _slot) in enumerate(live)
-        )
-        d = len(slot_of)
-        mask = powers[d] - 1
-        next_slot = d
-        new_capacity = max(_MIN_CAPACITY, 3 * d)
-        if new_capacity > capacity:
-            powers.extend(
-                1 << i for i in range(capacity + 1, new_capacity + 1)
-            )
-        capacity = new_capacity
-
-    pop = slot_of.pop
-    for summary in summaries:
-        # Stage 1: replay the seam.  Each first-local-access either hits
-        # a page still on the global stack (seam reuse: its depth is the
-        # number of more recent slots, exactly as in a single pass) or is
-        # a true cold miss.  Pushing the page afterwards keeps the stack
-        # consistent for the pages replayed after it.
-        for page in summary.first_seen:
-            prev = pop(page, None)
-            if prev is not None:
-                depth = (mask >> (prev + 1)).bit_count() + 1
-                histogram[depth] = histogram.get(depth, 0) + 1
-                mask ^= powers[prev]
-                seam_reuses += 1
-            else:
-                cold += 1
-            if next_slot >= capacity:
-                compact()
-            slot_of[page] = next_slot
-            mask |= powers[next_slot]
-            next_slot += 1
-
-        # Stage 2: intra-shard depths are already exact.
-        for depth, count in summary.histogram.items():
-            histogram[depth] = histogram.get(depth, 0) + count
-
-        # Stage 3: restack the shard's pages in last-local-access order.
-        # Untouched pre-shard pages keep their relative order below; the
-        # shard's pages end up on top, most recent last — the global
-        # stack is now exactly what a single pass would hold here.
-        for page in summary.recency:
-            prev = pop(page, None)
-            if prev is not None:
-                mask ^= powers[prev]
-            if next_slot >= capacity:
-                compact()
-            slot_of[page] = next_slot
-            mask |= powers[next_slot]
-            next_slot += 1
-
-    curve = FetchCurve.from_histogram(histogram, cold)
-    return curve, SeamStats(
-        seam_reuses=seam_reuses,
-        cold_misses=cold,
-        shards=len(summaries),
-    )
